@@ -8,11 +8,12 @@
 // disjoint heads, so they contend on nothing at all — no head pointer, no cache line —
 // which composes with the VM layer's stripes (bucketing *within* a stripe's window).
 //
-// Protocol per bucket is exactly Listing 1: a single CAS inserts a node into the sorted
-// list (insertion *is* acquisition), releasing marks the node's next pointer with one
-// fetch_add (wait-free, never takes a lock — the property the tentpole is named for),
-// and marked nodes are physically unlinked by whichever later traversal passes by
-// (Harris-style helping), then retired through NodePool/EpochDomain.
+// Each bucket is one ListingOneList (listing_one.h), the Listing 1 kernel: a single CAS
+// inserts a node into the sorted list (insertion *is* acquisition), releasing marks the
+// node's next pointer with one fetch_add (wait-free, never takes a lock), and marked
+// nodes are physically unlinked by whichever later traversal passes by (Harris-style
+// helping), then retired through NodePool/EpochDomain. What this file adds is the
+// bucket geometry, the covered-bucket mask and the sibling chain.
 //
 // Multi-bucket acquisitions (a range whose windows hash to several buckets) insert one
 // node per covered bucket in ascending bucket-index order and chain them through
@@ -39,14 +40,13 @@
 #ifndef SRL_CORE_LIST_LOCKFREE_RANGE_LOCK_H_
 #define SRL_CORE_LIST_LOCKFREE_RANGE_LOCK_H_
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 
+#include "src/core/listing_one.h"
 #include "src/core/lnode.h"
 #include "src/core/range.h"
 #include "src/epoch/epoch_domain.h"
@@ -54,8 +54,6 @@
 #include "src/sync/admission.h"
 #include "src/sync/cacheline.h"
 #include "src/sync/deadline.h"
-#include "src/sync/pause.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
@@ -86,29 +84,10 @@ class ListLockFreeRangeLock {
                                                   : options.window_shift),
         all_mask_(bucket_count_ == 64 ? ~uint64_t{0}
                                       : (uint64_t{1} << bucket_count_) - 1),
-        heads_(new CacheAligned<std::atomic<uintptr_t>>[bucket_count_]) {}
+        heads_(new CacheAligned<ListingOneList>[bucket_count_]) {}
 
   ListLockFreeRangeLock(const ListLockFreeRangeLock&) = delete;
   ListLockFreeRangeLock& operator=(const ListLockFreeRangeLock&) = delete;
-
-  // All ranges must have been released; residual marked nodes (released but never
-  // unlinked because no later traversal passed their bucket) are freed here.
-  ~ListLockFreeRangeLock() {
-    for (std::size_t b = 0; b < bucket_count_; ++b) {
-      uintptr_t word = heads_[b]->load(std::memory_order_acquire);
-      // A marked head is a live fast-path holder: once released, its head is either
-      // CASed back to zero or (if stripped first) left unmarked with a marked node.
-      assert(!IsMarked(word) && "fast-path range still held at destruction");
-      LNode* cur = ToNode(word);
-      while (cur != nullptr) {
-        const uintptr_t next = cur->next.load(std::memory_order_acquire);
-        assert(IsMarked(next) && "range still held at destruction");
-        LNode* succ = ToNode(next);
-        delete cur;
-        cur = succ;
-      }
-    }
-  }
 
   // Blocks until [range.start, range.end) is held exclusively. The returned handle must
   // be passed to Unlock() by the same logical owner (any thread may release it).
@@ -163,13 +142,7 @@ class ListLockFreeRangeLock {
   int DebugHeldCount() const {
     int n = 0;
     for (std::size_t b = 0; b < bucket_count_; ++b) {
-      // A marked head is a fast-path holder: unmark to reach its (held) node.
-      for (LNode* cur = ToNode(Unmark(heads_[b]->load(std::memory_order_acquire)));
-           cur != nullptr; cur = ToNode(cur->next.load(std::memory_order_acquire))) {
-        if (!IsMarked(cur->next.load(std::memory_order_acquire))) {
-          ++n;
-        }
-      }
+      n += heads_[b]->DebugHeldCount();
     }
     return n;
   }
@@ -177,18 +150,8 @@ class ListLockFreeRangeLock {
   // Checks Invariant 1 per bucket: consecutive held ranges satisfy r1.end <= r2.start.
   bool DebugInvariantHolds() const {
     for (std::size_t b = 0; b < bucket_count_; ++b) {
-      uint64_t prev_end = 0;
-      bool first = true;
-      for (LNode* cur = ToNode(Unmark(heads_[b]->load(std::memory_order_acquire)));
-           cur != nullptr; cur = ToNode(cur->next.load(std::memory_order_acquire))) {
-        if (IsMarked(cur->next.load(std::memory_order_acquire))) {
-          continue;  // released, logically absent
-        }
-        if (!first && cur->start < prev_end) {
-          return false;
-        }
-        prev_end = cur->end;
-        first = false;
+      if (!heads_[b]->DebugInvariantHolds()) {
+        return false;
       }
     }
     return true;
@@ -239,14 +202,11 @@ class ListLockFreeRangeLock {
   // Releases every node of a sibling chain, in chain (= ascending bucket) order. The
   // chain's buckets are recomputed from the range (every node carries it), iterated in
   // lockstep with the chain: a partial chain from a timed/try failure is exactly the
-  // first k bits of the mask. Per node, first try the §4.5 fast-path release — if the
-  // bucket head still holds this node marked, one CAS empties the bucket and the node
-  // recycles with no grace period (nobody else ever obtained a reference: converting a
-  // fast node into a regular node requires winning a strip CAS against this release).
-  // Otherwise mark the node released with one fetch_add. The sibling pointer is read
-  // BEFORE either: the instant a node is marked, a concurrent traversal may unlink it,
-  // retire it, and hand it to a new acquisition — ReleaseChain runs outside any epoch
-  // critical section, so the node must not be touched after its own release.
+  // first k bits of the mask. Per node, the kernel's Release tries the §4.5 fast-path
+  // release first and otherwise marks the node. The sibling pointer is read BEFORE the
+  // release: the instant a node is marked, a concurrent traversal may unlink it, retire
+  // it, and hand it to a new acquisition — ReleaseChain runs outside any epoch critical
+  // section, so the node must not be touched after its own release.
   void ReleaseChain(LNode* node) {
     if (node == nullptr) {
       return;
@@ -257,17 +217,7 @@ class ListLockFreeRangeLock {
       const std::size_t b = static_cast<std::size_t>(std::countr_zero(m));
       m &= m - 1;
       LNode* next = node->sibling;
-      uintptr_t expected = MarkedWord(node);
-      // Ordering as in list_range_lock.h's fast-path Unlock: the relaxed probe is an
-      // optimization (the CAS repeats the comparison); release success order pairs with
-      // the acquire side of whichever CAS next observes head == 0.
-      if (heads_[b]->load(std::memory_order_relaxed) == expected &&
-          heads_[b]->compare_exchange_strong(expected, 0, std::memory_order_release,
-                                             std::memory_order_relaxed)) {
-        NodePool<LNode>::Local().Recycle(node);
-      } else {
-        node->next.fetch_add(kMarkBit, std::memory_order_release);
-      }
+      heads_[b]->Release(node, /*try_fast=*/true);
       node = next;
     }
   }
@@ -289,31 +239,15 @@ class ListLockFreeRangeLock {
     LNode* chain_tail = nullptr;
     for (uint64_t m = mask; m != 0; m &= m - 1) {
       const std::size_t b = static_cast<std::size_t>(std::countr_zero(m));
-      LNode* node = NodePool<LNode>::Local().Alloc();
-      node->start = range.start;
-      node->end = range.end;
-      node->reader = false;
-      node->sibling = nullptr;
-      node->next.store(0, std::memory_order_relaxed);
-      std::atomic<uintptr_t>& head = heads_[b].value;
-      bool inserted;
-      uintptr_t expected = 0;
-      // §4.5 fast path, per bucket. Ordering as in list_range_lock.h: acq_rel on
-      // success — the acquire half pairs with the previous fast-path holder's releasing
-      // CAS (head -> 0), the release half publishes node->{start,end,next,sibling} to
-      // the strip-CAS that may later convert this node into a regular list node.
-      // Failure order relaxed: a failed fast path learns nothing and goes slow.
-      if (head.load(std::memory_order_relaxed) == 0 &&
-          head.compare_exchange_strong(expected, MarkedWord(node),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-        inserted = true;
-      } else {
+      LNode* node = ListingOneList::NewNode(range, /*reader=*/false);
+      ListingOneList& list = heads_[b].value;
+      bool inserted = list.TryFastAcquire(node);
+      if (!inserted) {
         if (rec == nullptr) {
           rec = CurrentThreadRec(EpochDomain::Global());
           EpochDomain::Enter(rec);
         }
-        inserted = InsertNode(&head, node, rec, deadline, gate_spinner);
+        inserted = list.Insert(node, rec, deadline, gate_spinner);
       }
       if (!inserted) {
         NodePool<LNode>::Local().Recycle(node);  // never entered a list
@@ -338,125 +272,13 @@ class ListLockFreeRangeLock {
     return true;
   }
 
-  // Listing 1's compare(): relationship of `cur` (in-list) to `node` (to insert).
-  static int Compare(const LNode* cur, const LNode* node) {
-    if (cur->start >= node->end) {
-      return 1;
-    }
-    if (node->start >= cur->end) {
-      return -1;
-    }
-    return 0;
-  }
-
-  enum class WaitResult { kReleased, kRestart, kTimedOut };
-
-  // Listing 1's insertion loop against one bucket's head — list_range_lock.h's
-  // InsertNode minus the fairness failure budget (the fair layer wraps the single-list
-  // lock, not this one).
-  bool InsertNode(std::atomic<uintptr_t>* head, LNode* node,
-                  EpochDomain::ThreadRec* rec, const Deadline& deadline,
-                  AdmissionSpinner& gate_spinner) {
-    for (;;) {
-      std::atomic<uintptr_t>* prev = head;
-      uintptr_t cur_word = prev->load(std::memory_order_acquire);
-      bool at_head = true;
-      for (;;) {
-        if (IsMarked(cur_word)) {
-          if (!at_head) {
-            // prev's owner was logically deleted under us: the pointer into the list is
-            // lost, restart from the head (Listing 1 line 32).
-            break;
-          }
-          // Marked head == a fast-path holder (§4.5). Strip the mark to convert its
-          // node into a regular list node, then continue with the unmarked value. The
-          // node is not dereferenced before the strip CAS succeeds — if its owner's
-          // releasing CAS wins instead, the node may already be recycled.
-          if (head->compare_exchange_weak(cur_word, Unmark(cur_word),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-            cur_word = Unmark(cur_word);
-          }
-          continue;
-        }
-        LNode* cur = ToNode(cur_word);
-        if (cur != nullptr) {
-          const uintptr_t cur_next = cur->next.load(std::memory_order_acquire);
-          if (IsMarked(cur_next)) {
-            // cur was released: help unlink it (Listing 1 lines 34–37).
-            const uintptr_t succ = Unmark(cur_next);
-            if (prev->compare_exchange_strong(cur_word, succ, std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-              NodePool<LNode>::Local().Retire(cur);
-              cur_word = succ;
-            }
-            continue;  // on CAS failure cur_word holds the fresh *prev
-          }
-          const int rel = Compare(cur, node);
-          if (rel < 0) {
-            prev = &cur->next;
-            cur_word = cur_next;
-            at_head = false;
-            continue;
-          }
-          if (rel == 0) {
-            const WaitResult w = WaitForRelease(cur, rec, deadline, gate_spinner);
-            if (w == WaitResult::kTimedOut) {
-              return false;
-            }
-            if (w == WaitResult::kRestart) {
-              break;  // left the epoch CS while waiting; restart from head
-            }
-            continue;  // cur is now marked; the unlink branch above collects it
-          }
-          // rel > 0: insert before cur.
-        }
-        // Publication pairing as in list_range_lock.h: the relaxed store of node->next
-        // is ordered before any other thread can see the node by the release half of
-        // the successful insertion CAS below.
-        node->next.store(cur_word, std::memory_order_relaxed);
-        if (prev->compare_exchange_strong(cur_word, NodeWord(node),
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_acquire)) {
-          return true;
-        }
-        // Lost the race for this insertion point; cur_word holds the fresh *prev.
-      }
-    }
-  }
-
-  // Watches `cur` until its owner releases it or the deadline expires; identical to
-  // list_range_lock.h (see the rationale there). Audit (wait-loop unification):
-  // bounded watch on SpinWait; the yield between watch rounds runs outside the epoch
-  // critical section via gate_spinner.Pause(), which also rotates the admission slot.
-  WaitResult WaitForRelease(const LNode* cur, EpochDomain::ThreadRec* rec,
-                            const Deadline& deadline, AdmissionSpinner& gate_spinner) {
-    if (deadline.IsImmediate()) {
-      return IsMarked(cur->next.load(std::memory_order_acquire)) ? WaitResult::kReleased
-                                                                 : WaitResult::kTimedOut;
-    }
-    SpinWait spin;
-    for (int i = 0; !spin.Yielding(); ++i) {
-      if (IsMarked(cur->next.load(std::memory_order_acquire))) {
-        return WaitResult::kReleased;
-      }
-      if ((i + 1) % Deadline::kSpinsPerClockCheck == 0 && deadline.Expired()) {
-        return WaitResult::kTimedOut;
-      }
-      spin.Spin();
-    }
-    EpochDomain::Exit(rec);
-    gate_spinner.Pause();
-    EpochDomain::Enter(rec);
-    return deadline.Expired() ? WaitResult::kTimedOut : WaitResult::kRestart;
-  }
-
   const std::size_t bucket_count_;
   const int bucket_shift_;   // log2(bucket_count_)
   const int window_shift_;
   const uint64_t all_mask_;  // low bucket_count_ bits set
-  // One cache line per head: disjoint buckets must not false-share.
-  const std::unique_ptr<CacheAligned<std::atomic<uintptr_t>>[]> heads_;
+  // One cache line per head: disjoint buckets must not false-share. Destroying the
+  // array frees each bucket's residual marked nodes.
+  const std::unique_ptr<CacheAligned<ListingOneList>[]> heads_;
   // Caps active contenders on the slow path (see AcquireImpl).
   AdmissionGate gate_;
 };

@@ -13,6 +13,9 @@
 // The insert-then-scan handshake on both sides is a store-buffering pattern; a seq_cst
 // fence after the insertion CAS on each side makes it impossible for both parties to
 // miss each other (free on x86, where the CAS is already a full fence).
+//
+// Insertion, the conflict wait, release and the §4.5 fast path are the ListingOneList
+// kernel (listing_one.h) with Listing 2's compare; the validation passes are here.
 #ifndef SRL_CORE_LIST_RW_RANGE_LOCK_H_
 #define SRL_CORE_LIST_RW_RANGE_LOCK_H_
 
@@ -20,8 +23,8 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
+#include "src/core/listing_one.h"
 #include "src/core/lnode.h"
 #include "src/core/range.h"
 #include "src/epoch/epoch_domain.h"
@@ -29,8 +32,6 @@
 #include "src/sync/admission.h"
 #include "src/sync/deadline.h"
 #include "src/sync/fence.h"
-#include "src/sync/pause.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
@@ -46,19 +47,6 @@ class ListRwRangeLock {
   explicit ListRwRangeLock(Options options) : options_(options) {}
   ListRwRangeLock(const ListRwRangeLock&) = delete;
   ListRwRangeLock& operator=(const ListRwRangeLock&) = delete;
-
-  ~ListRwRangeLock() {
-    uintptr_t word = head_.load(std::memory_order_acquire);
-    assert(!IsMarked(word) && "range still held on the fast path at destruction");
-    LNode* cur = ToNode(word);
-    while (cur != nullptr) {
-      const uintptr_t next = cur->next.load(std::memory_order_acquire);
-      assert(IsMarked(next) && "range still held at destruction");
-      LNode* succ = ToNode(next);
-      delete cur;
-      cur = succ;
-    }
-  }
 
   // Blocks until [range.start, range.end) is held in shared (read) mode.
   Handle LockRead(const Range& range) {
@@ -112,18 +100,7 @@ class ListRwRangeLock {
   }
 
   // Releases a range acquired in either mode.
-  void Unlock(Handle node) {
-    if (options_.enable_fast_path) {
-      uintptr_t expected = MarkedWord(node);
-      if (head_.load(std::memory_order_relaxed) == expected &&
-          head_.compare_exchange_strong(expected, 0, std::memory_order_release,
-                                        std::memory_order_relaxed)) {
-        NodePool<LNode>::Local().Recycle(node);
-        return;
-      }
-    }
-    node->next.fetch_add(kMarkBit, std::memory_order_release);
-  }
+  void Unlock(Handle node) { list_.Release(node, options_.enable_fast_path); }
 
   class ReadGuard {
    public:
@@ -160,61 +137,12 @@ class ListRwRangeLock {
     return rvalidate_aborts_.load(std::memory_order_relaxed);
   }
 
-  int DebugHeldCount() const {
-    int n = 0;
-    for (LNode* cur = ToNode(head_.load(std::memory_order_acquire)); cur != nullptr;
-         cur = ToNode(cur->next.load(std::memory_order_acquire))) {
-      if (!IsMarked(cur->next.load(std::memory_order_acquire))) {
-        ++n;
-      }
-    }
-    return n;
-  }
+  int DebugHeldCount() const { return list_.DebugHeldCount(); }
 
   // Invariant 2: held ranges sorted by start; a held writer never overlaps a successor.
-  bool DebugInvariantHolds() const {
-    const LNode* prev = nullptr;
-    for (LNode* cur = ToNode(head_.load(std::memory_order_acquire)); cur != nullptr;
-         cur = ToNode(cur->next.load(std::memory_order_acquire))) {
-      if (IsMarked(cur->next.load(std::memory_order_acquire))) {
-        continue;
-      }
-      if (prev != nullptr) {
-        if (prev->start > cur->start) {
-          return false;
-        }
-        if ((!prev->reader || !cur->reader) && prev->end > cur->start) {
-          return false;
-        }
-      }
-      prev = cur;
-    }
-    return true;
-  }
+  bool DebugInvariantHolds() const { return list_.DebugInvariantHolds(); }
 
  private:
-
-  // Listing 2's compare(): relationship of `cur` (in-list) to `node` (to insert).
-  //  -1: keep traversing (cur precedes node, or reader-reader ordered by start).
-  //   0: conflict involving a writer — wait for cur's release before inserting.
-  //  +1: insertion point found (node goes before cur).
-  static int CompareRw(const LNode* cur, const LNode* node) {
-    const bool both_readers = cur->reader && node->reader;
-    if (node->start >= cur->end) {
-      return -1;
-    }
-    if (both_readers && node->start >= cur->start) {
-      return -1;
-    }
-    if (cur->start >= node->end) {
-      return 1;
-    }
-    if (both_readers && cur->start >= node->start) {
-      return 1;
-    }
-    return 0;
-  }
-
   bool AcquireImpl(const Range& range, bool reader, int max_failures,
                    const Deadline& deadline, Handle* out) {
     assert(range.Valid() && "range locks require start < end");
@@ -229,23 +157,12 @@ class ListRwRangeLock {
     // (Listing 2's do/while): the failed node is already marked inside the list and will
     // be unlinked by other traversals.
     for (;;) {
-      LNode* node = NodePool<LNode>::Local().Alloc();
-      node->start = range.start;
-      node->end = range.end;
-      node->reader = reader;
-      node->next.store(0, std::memory_order_relaxed);
-
-      if (options_.enable_fast_path) {
-        uintptr_t expected = 0;
-        if (head_.load(std::memory_order_relaxed) == 0 &&
-            head_.compare_exchange_strong(expected, MarkedWord(node),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-          // The list was empty, so there is nothing to validate against; later arrivals
-          // always see this node (it is the head) and defer to it as needed.
-          *out = node;
-          return true;
-        }
+      LNode* node = ListingOneList::NewNode(range, reader);
+      if (options_.enable_fast_path && list_.TryFastAcquire(node)) {
+        // The list was empty, so there is nothing to validate against; later arrivals
+        // always see this node (it is the head) and defer to it as needed.
+        *out = node;
+        return true;
       }
 
       EpochDomain::Enter(rec);
@@ -265,15 +182,15 @@ class ListRwRangeLock {
           // kValidationFailed when its deadline expired mid-validation, so the
           // Expired() check below is what terminates it.
           //
-          // Exactly-once pool return (audited for the lock-free-list PR): this branch
-          // must NOT Recycle — the self-deleted node is still reachable from the list,
-          // and exactly one future traversal wins the unlink CAS over it and Retires
-          // it. A Recycle here would be a double return (the try-exactness fuzz's pool
-          // conservation check catches exactly that); conversely kGaveUp above must
-          // Recycle, because a node that never entered the list has no unlinker and
-          // would otherwise leak. The self-delete itself cannot double-fire either:
-          // RValidate/WValidate mark the node at most once, on their single return
-          // false path, and only the owner ever marks an unmarked node.
+          // Exactly-once pool return: this branch must NOT Recycle — the self-deleted
+          // node is still reachable from the list, and exactly one future traversal
+          // wins the unlink CAS over it and Retires it. A Recycle here would be a
+          // double return (the try-exactness fuzz's pool conservation check catches
+          // exactly that); conversely kGaveUp above must Recycle, because a node that
+          // never entered the list has no unlinker and would otherwise leak. The
+          // self-delete itself cannot double-fire either: RValidate/WValidate mark the
+          // node at most once, on their single return false path, and only the owner
+          // ever marks an unmarked node.
           if (max_failures >= 0 && ++failures > max_failures) {
             return false;
           }
@@ -286,82 +203,22 @@ class ListRwRangeLock {
   }
 
   enum class InsertResult { kAcquired, kGaveUp, kValidationFailed };
-
-  // Outcome of one watch of a conflicting node.
-  enum class WaitResult { kReleased, kRestart, kTimedOut };
+  using WaitResult = ListingOneList::WaitResult;
 
   InsertResult InsertNode(LNode* node, EpochDomain::ThreadRec* rec, int max_failures,
                           const Deadline& deadline, int* failures,
                           AdmissionSpinner& gate_spinner) {
-    for (;;) {
-      std::atomic<uintptr_t>* prev = &head_;
-      uintptr_t cur_word = prev->load(std::memory_order_acquire);
-      bool at_head = true;
-      for (;;) {
-        if (IsMarked(cur_word)) {
-          if (!at_head) {
-            if (max_failures >= 0 && ++*failures > max_failures) {
-              return InsertResult::kGaveUp;
-            }
-            break;  // prev's owner deleted — restart from head
-          }
-          if (head_.compare_exchange_weak(cur_word, Unmark(cur_word),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-            cur_word = Unmark(cur_word);
-          }
-          continue;
-        }
-        LNode* cur = ToNode(cur_word);
-        if (cur != nullptr) {
-          const uintptr_t cur_next = cur->next.load(std::memory_order_acquire);
-          if (IsMarked(cur_next)) {
-            const uintptr_t succ = Unmark(cur_next);
-            if (prev->compare_exchange_strong(cur_word, succ, std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-              NodePool<LNode>::Local().Retire(cur);
-              cur_word = succ;
-            }
-            continue;
-          }
-          const int rel = CompareRw(cur, node);
-          if (rel < 0) {
-            prev = &cur->next;
-            cur_word = cur_next;
-            at_head = false;
-            continue;
-          }
-          if (rel == 0) {
-            const WaitResult w = WaitForRelease(cur, rec, deadline, gate_spinner);
-            if (w == WaitResult::kTimedOut) {
-              return InsertResult::kGaveUp;  // pre-insertion: node never entered
-            }
-            if (w == WaitResult::kRestart) {
-              break;  // epoch CS was cycled while waiting; restart from head
-            }
-            continue;
-          }
-        }
-        node->next.store(cur_word, std::memory_order_relaxed);
-        if (prev->compare_exchange_strong(cur_word, NodeWord(node),
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_acquire)) {
-          // Paired with the same fence in the conflicting party's insertion (see the
-          // file comment): both sides cannot miss each other's nodes.
-          SeqCstFence();
-          if (node->reader) {
-            return RValidate(node, rec, deadline, gate_spinner)
-                       ? InsertResult::kAcquired
-                       : InsertResult::kValidationFailed;
-          }
-          return WValidate(node) ? InsertResult::kAcquired
-                                 : InsertResult::kValidationFailed;
-        }
-        if (max_failures >= 0 && ++*failures > max_failures) {
-          return InsertResult::kGaveUp;
-        }
-      }
+    if (!list_.Insert(node, rec, deadline, gate_spinner, max_failures, failures)) {
+      return InsertResult::kGaveUp;  // pre-insertion: node never entered
     }
+    // Paired with the same fence in the conflicting party's insertion (see the file
+    // comment): both sides cannot miss each other's nodes.
+    SeqCstFence();
+    if (node->reader) {
+      return RValidate(node, rec, deadline, gate_spinner) ? InsertResult::kAcquired
+                                                          : InsertResult::kValidationFailed;
+    }
+    return WValidate(node) ? InsertResult::kAcquired : InsertResult::kValidationFailed;
   }
 
   // Listing 3, r_validate: scan forward from our node; wait out any conflicting writer.
@@ -399,7 +256,7 @@ class ListRwRangeLock {
           continue;
         }
         // Conflicting writer: wait for it to release, then re-examine.
-        switch (WaitForRelease(cur, rec, deadline, gate_spinner)) {
+        switch (ListingOneList::WaitForRelease(cur->next, rec, deadline, gate_spinner)) {
           case WaitResult::kReleased:
             break;
           case WaitResult::kRestart:
@@ -425,7 +282,7 @@ class ListRwRangeLock {
   // conflicting node, self-delete and report failure.
   bool WValidate(LNode* node) {
     for (;;) {
-      std::atomic<uintptr_t>* prev = &head_;
+      std::atomic<uintptr_t>* prev = &list_.head();
       uintptr_t cur_word = Unmark(prev->load(std::memory_order_acquire));
       for (;;) {
         LNode* cur = ToNode(cur_word);
@@ -462,36 +319,7 @@ class ListRwRangeLock {
     }
   }
 
-  // Audit (wait-loop unification): bounded watch on SpinWait instead of a hand-rolled
-  // kWatchSpins CpuRelax loop; the switch to yielding signals the epoch-CS cycle, and
-  // the yield itself runs outside the CS via gate_spinner.Pause(), which also rotates
-  // the admission slot. See ListRangeLock::WaitForRelease.
-  WaitResult WaitForRelease(const LNode* cur, EpochDomain::ThreadRec* rec,
-                            const Deadline& deadline, AdmissionSpinner& gate_spinner) {
-    if (deadline.IsImmediate()) {
-      return IsMarked(cur->next.load(std::memory_order_acquire)) ? WaitResult::kReleased
-                                                                 : WaitResult::kTimedOut;
-    }
-    SpinWait spin;
-    for (int i = 0; !spin.Yielding(); ++i) {
-      if (IsMarked(cur->next.load(std::memory_order_acquire))) {
-        return WaitResult::kReleased;
-      }
-      if ((i + 1) % Deadline::kSpinsPerClockCheck == 0 && deadline.Expired()) {
-        return WaitResult::kTimedOut;
-      }
-      spin.Spin();
-    }
-    EpochDomain::Exit(rec);
-    // Yield outside the critical section — rotating the admission slot — so a
-    // preempted (or gate-parked) holder can run instead of us re-traversing for a
-    // whole quantum.
-    gate_spinner.Pause();
-    EpochDomain::Enter(rec);
-    return deadline.Expired() ? WaitResult::kTimedOut : WaitResult::kRestart;
-  }
-
-  std::atomic<uintptr_t> head_{0};
+  ListingOneList list_;
   std::atomic<uint64_t> rvalidate_aborts_{0};  // see DebugRValidateAborts
   Options options_;
   // Caps active contenders on the slow path (see AcquireImpl).

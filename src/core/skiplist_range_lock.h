@@ -11,7 +11,8 @@
 // The index here adapts src/skiplist/optimistic_skiplist.h's structure to the lock's
 // own protocol. The optimistic skiplist synchronizes updates with per-node locks,
 // which a lock cannot use for its own index without recursing; instead, level 0 is
-// run exactly as the paper's Listing 1 list (see list_lockfree_range_lock.h):
+// run exactly as the paper's Listing 1 list, and its conflict wait is the Listing 1
+// kernel's (ListingOneList::WaitForRelease in listing_one.h):
 //
 //   * Level 0 is a Harris-style sorted-by-start list of live ranges. The single CAS
 //     that links a node into level 0 IS the acquisition — no separate lock state.
@@ -51,8 +52,8 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
+#include "src/core/listing_one.h"
 #include "src/core/lnode.h"  // kMarkBit / IsMarked / Unmark word helpers
 #include "src/core/range.h"
 #include "src/epoch/epoch_domain.h"
@@ -60,8 +61,6 @@
 #include "src/harness/prng.h"
 #include "src/sync/admission.h"
 #include "src/sync/deadline.h"
-#include "src/sync/pause.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
@@ -237,7 +236,7 @@ class SkiplistRangeLock {
     return reinterpret_cast<uintptr_t>(node);
   }
 
-  enum class WaitResult { kReleased, kRestart, kTimedOut };
+  using WaitResult = ListingOneList::WaitResult;
 
   // Positions preds[l]/succ_words[l] around `key` at every level: preds[l] is the
   // last node at level l with start < key (head_ if none), succ_words[l] the unmarked
@@ -293,34 +292,6 @@ class SkiplistRangeLock {
     }
   }
 
-  // Watches `cur`'s level-0 mark until its owner releases it or the deadline
-  // expires; identical contract to list_lockfree_range_lock.h's WaitForRelease.
-  // Audit (wait-loop unification): bounded watch on SpinWait (the hand-rolled
-  // kWatchSpins loop is gone); the inter-round yield runs outside the epoch critical
-  // section via gate_spinner.Pause(), which also rotates the admission slot.
-  WaitResult WaitForRelease(const SkipLockNode* cur, EpochDomain::ThreadRec* rec,
-                            const Deadline& deadline, AdmissionSpinner& gate_spinner) {
-    if (deadline.IsImmediate()) {
-      return IsMarked(cur->next[0].load(std::memory_order_acquire))
-                 ? WaitResult::kReleased
-                 : WaitResult::kTimedOut;
-    }
-    SpinWait spin;
-    for (int i = 0; !spin.Yielding(); ++i) {
-      if (IsMarked(cur->next[0].load(std::memory_order_acquire))) {
-        return WaitResult::kReleased;
-      }
-      if ((i + 1) % Deadline::kSpinsPerClockCheck == 0 && deadline.Expired()) {
-        return WaitResult::kTimedOut;
-      }
-      spin.Spin();
-    }
-    EpochDomain::Exit(rec);
-    gate_spinner.Pause();
-    EpochDomain::Enter(rec);
-    return deadline.Expired() ? WaitResult::kTimedOut : WaitResult::kRestart;
-  }
-
   bool AcquireImpl(const Range& range, const Deadline& deadline, Handle* out) {
     assert(range.Valid() && "range locks require start < end");
     SkipLockNode* node = NodePool<SkipLockNode>::Local().Alloc();
@@ -349,7 +320,8 @@ class SkiplistRangeLock {
         conflict = succ;
       }
       if (conflict != nullptr) {
-        const WaitResult w = WaitForRelease(conflict, rec, deadline, gate_spinner);
+        const WaitResult w =
+            ListingOneList::WaitForRelease(conflict->next[0], rec, deadline, gate_spinner);
         if (w == WaitResult::kTimedOut) {
           EpochDomain::Exit(rec);
           NodePool<SkipLockNode>::Local().Recycle(node);  // never entered the index
@@ -358,11 +330,10 @@ class SkiplistRangeLock {
         continue;  // released (its mark makes our re-find snip it) or restart
       }
       // No conflict at the insertion point: the level-0 CAS is the acquisition.
-      // seq_cst success as in the list locks' insertion CAS (the publication point
-      // the memory-ordering audit pins); the relaxed store of node->next[0] is
-      // ordered before any observer by the CAS's release half. A release of preds[0]
-      // racing us lands its mark on this same word and fails the CAS — exactly
-      // Listing 1's arbitration.
+      // seq_cst success as in the kernel's insertion CAS (listing_one.h); the relaxed
+      // store of node->next[0] is ordered before any observer by the CAS's release
+      // half. A release of preds[0] racing us lands its mark on this same word and
+      // fails the CAS — exactly Listing 1's arbitration.
       node->next[0].store(succs[0], std::memory_order_relaxed);
       uintptr_t expected = succs[0];
       if (preds[0]->next[0].compare_exchange_strong(expected, NodeWord(node),

@@ -40,13 +40,17 @@
 
 namespace srl {
 
-// list-ex: the paper's exclusive list-based range lock (§4.1).
-struct ListExAdapter {
+// list-ex: the paper's exclusive list-based range lock (§4.1); list-ex-fp with the
+// §4.5 fast path enabled.
+template <bool kFastPath>
+struct ListExAdapterOf {
   using Handle = ListRangeLock::Handle;
   static constexpr bool kSharedReaders = false;
   static constexpr bool kPrecise = true;
   static constexpr bool kUsesNodePool = true;
-  static const char* Name() { return "list-ex"; }
+  static const char* Name() { return kFastPath ? "list-ex-fp" : "list-ex"; }
+
+  ListExAdapterOf() : lock(ListRangeLock::Options{.enable_fast_path = kFastPath}) {}
 
   Handle AcquireRead(const Range& r) { return lock.Lock(r); }
   Handle AcquireWrite(const Range& r) { return lock.Lock(r); }
@@ -62,39 +66,21 @@ struct ListExAdapter {
 
   ListRangeLock lock;
 };
+// Distinct classes rather than aliases: the typed suites' test names carry the type name.
+struct ListExAdapter : ListExAdapterOf<false> {};
+struct ListExFastPathAdapter : ListExAdapterOf<true> {};
 
-// list-ex with the §4.5 fast path enabled.
-struct ListExFastPathAdapter {
-  using Handle = ListRangeLock::Handle;
-  static constexpr bool kSharedReaders = false;
-  static constexpr bool kPrecise = true;
-  static constexpr bool kUsesNodePool = true;
-  static const char* Name() { return "list-ex-fp"; }
-
-  ListExFastPathAdapter() : lock(ListRangeLock::Options{.enable_fast_path = true}) {}
-
-  Handle AcquireRead(const Range& r) { return lock.Lock(r); }
-  Handle AcquireWrite(const Range& r) { return lock.Lock(r); }
-  bool TryAcquireRead(const Range& r, Handle* out) { return lock.TryLock(r, out); }
-  bool TryAcquireWrite(const Range& r, Handle* out) { return lock.TryLock(r, out); }
-  bool AcquireReadFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockFor(r, t, out);
-  }
-  bool AcquireWriteFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockFor(r, t, out);
-  }
-  void Release(Handle h) { lock.Unlock(h); }
-
-  ListRangeLock lock;
-};
-
-// list-rw: the paper's reader-writer list-based range lock (§4.2).
-struct ListRwAdapter {
+// list-rw: the paper's reader-writer list-based range lock (§4.2); list-rw-fp with the
+// fast path enabled.
+template <bool kFastPath>
+struct ListRwAdapterOf {
   using Handle = ListRwRangeLock::Handle;
   static constexpr bool kSharedReaders = true;
   static constexpr bool kPrecise = true;
   static constexpr bool kUsesNodePool = true;
-  static const char* Name() { return "list-rw"; }
+  static const char* Name() { return kFastPath ? "list-rw-fp" : "list-rw"; }
+
+  ListRwAdapterOf() : lock(ListRwRangeLock::Options{.enable_fast_path = kFastPath}) {}
 
   Handle AcquireRead(const Range& r) { return lock.LockRead(r); }
   Handle AcquireWrite(const Range& r) { return lock.LockWrite(r); }
@@ -110,31 +96,8 @@ struct ListRwAdapter {
 
   ListRwRangeLock lock;
 };
-
-// list-rw with the fast path enabled.
-struct ListRwFastPathAdapter {
-  using Handle = ListRwRangeLock::Handle;
-  static constexpr bool kSharedReaders = true;
-  static constexpr bool kPrecise = true;
-  static constexpr bool kUsesNodePool = true;
-  static const char* Name() { return "list-rw-fp"; }
-
-  ListRwFastPathAdapter() : lock(ListRwRangeLock::Options{.enable_fast_path = true}) {}
-
-  Handle AcquireRead(const Range& r) { return lock.LockRead(r); }
-  Handle AcquireWrite(const Range& r) { return lock.LockWrite(r); }
-  bool TryAcquireRead(const Range& r, Handle* out) { return lock.TryLockRead(r, out); }
-  bool TryAcquireWrite(const Range& r, Handle* out) { return lock.TryLockWrite(r, out); }
-  bool AcquireReadFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockReadFor(r, t, out);
-  }
-  bool AcquireWriteFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockWriteFor(r, t, out);
-  }
-  void Release(Handle h) { lock.Unlock(h); }
-
-  ListRwRangeLock lock;
-};
+struct ListRwAdapter : ListRwAdapterOf<false> {};
+struct ListRwFastPathAdapter : ListRwAdapterOf<true> {};
 
 // list-lf: the bucketed lock-free exclusive range lock (hash-bucketed heads, mark-bit
 // release with no lock taken). The geometry suits the test universes (ranges of a few

@@ -1,15 +1,19 @@
 // Targeted tests for the list-lock internals: lazy unlink + helping, node-pool
 // recycling across threads, bounded patience under real contention, and independence
 // of multiple locks sharing the global epoch domain.
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/list_lockfree_range_lock.h"
 #include "src/core/list_range_lock.h"
 #include "src/core/list_rw_range_lock.h"
 #include "src/epoch/node_pool.h"
+#include "src/harness/lock_adapters.h"
 #include "src/harness/prng.h"
 #include "tests/common/range_oracle.h"
 
@@ -140,9 +144,40 @@ TEST(ListLockInternalsTest, MultipleLocksShareEpochDomain) {
 }
 
 // Fast-path acquisitions interleaved with regular-path contention: the mark-at-head
-// conversion protocol (§4.5) must stay consistent through repeated handoffs.
-TEST(ListLockInternalsTest, FastPathConversionHandoffStress) {
-  ListRangeLock lock(ListRangeLock::Options{.enable_fast_path = true});
+// conversion protocol (§4.5) must stay consistent through repeated handoffs. Run over
+// every lock whose fast path is the Listing 1 kernel's: list-ex and list-rw (write
+// mode) with the fast path on, and list-lf with one bucket, whose fast path is always on.
+struct ListLockFreeOneBucketAdapter {
+  static const char* Name() { return "list-lf-1"; }
+  ListLockFreeOneBucketAdapter() : lock(ListLockFreeRangeLock::Options{.buckets = 1}) {}
+  LNode* AcquireWrite(const Range& r) { return lock.Lock(r); }
+  void Release(LNode* h) { lock.Unlock(h); }
+  ListLockFreeRangeLock lock;
+};
+
+template <typename Adapter>
+class ListLockInternalsTest : public ::testing::Test {
+ protected:
+  Adapter adapter_;
+};
+
+class AdapterNames {
+ public:
+  template <typename T>
+  static std::string GetName(int) {
+    std::string name = T::Name();
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+  }
+};
+
+using FastPathLocks =
+    ::testing::Types<ListExFastPathAdapter, ListRwFastPathAdapter,
+                     ListLockFreeOneBucketAdapter>;
+TYPED_TEST_SUITE(ListLockInternalsTest, FastPathLocks, AdapterNames);
+
+TYPED_TEST(ListLockInternalsTest, FastPathConversionHandoffStress) {
+  auto& adapter = this->adapter_;
   constexpr uint64_t kUniverse = 32;
   testing::RangeOracle oracle(kUniverse);
   std::vector<std::thread> threads;
@@ -154,10 +189,10 @@ TEST(ListLockInternalsTest, FastPathConversionHandoffStress) {
         // maximizing fast-path acquisitions racing regular-path conversions.
         const uint64_t a = rng.NextBelow(kUniverse - 2);
         const Range r{a, a + 1 + rng.NextBelow(2)};
-        auto h = lock.Lock(r);
+        auto h = adapter.AcquireWrite(r);
         oracle.EnterWrite(r);
         oracle.ExitWrite(r);
-        lock.Unlock(h);
+        adapter.Release(h);
       }
     });
   }
@@ -165,7 +200,7 @@ TEST(ListLockInternalsTest, FastPathConversionHandoffStress) {
     th.join();
   }
   EXPECT_FALSE(oracle.Violated());
-  EXPECT_EQ(lock.DebugHeldCount(), 0);
+  EXPECT_EQ(adapter.lock.DebugHeldCount(), 0);
 }
 
 // RW lock: a full-range writer alternating with page-sized readers — the exact

@@ -255,11 +255,18 @@ TYPED_TEST(LockConformanceTest, TryAcquireDisjointSucceeds) {
   if (!TypeParam::kPrecise) {
     GTEST_SKIP() << "coarse-grained lock may fail try acquisitions of disjoint ranges";
   }
-  auto h = this->adapter_.AcquireWrite({0, 10});
+  auto h = this->adapter_.AcquireWrite({10, 20});
   typename TypeParam::Handle t1{};
   typename TypeParam::Handle t2{};
+  typename TypeParam::Handle t3{};
+  typename TypeParam::Handle t4{};
   ASSERT_TRUE(this->adapter_.TryAcquireWrite({100, 110}, &t1));
   ASSERT_TRUE(this->adapter_.TryAcquireRead({200, 210}, &t2));
+  // Ranges are half-open: touching either end of a held range is no overlap.
+  ASSERT_TRUE(this->adapter_.TryAcquireWrite({0, 10}, &t3));
+  ASSERT_TRUE(this->adapter_.TryAcquireWrite({20, 30}, &t4));
+  this->adapter_.Release(t4);
+  this->adapter_.Release(t3);
   this->adapter_.Release(t2);
   this->adapter_.Release(t1);
   this->adapter_.Release(h);
